@@ -171,7 +171,7 @@ def merge_shards(
         shard_ledger_path,
         shard_lease_path,
     )
-    from repro.exec.cache import decode_value
+    from repro.io import decode_value
     from repro.resilience.lease import read_lease
 
     workdir = Path(workdir)

@@ -168,9 +168,12 @@ def _dse_sharded_cases(size: int) -> List[BenchCase]:
             "frontier": len(front),
         }
 
+    # The parity reference is computed once, here, so the timed
+    # sharded case measures only the sharded sweep and its merge.
+    reference = frontier_bytes(pareto_front(space().explore_serial()))
+
     def sharded_run(seed: int) -> Dict[str, Any]:
         s = space()
-        reference = frontier_bytes(pareto_front(s.explore_serial()))
         workdir = tempfile.mkdtemp(prefix="bench-dse-sharded-")
         try:
             summary = run_sharded(

@@ -21,8 +21,8 @@ seven hours per point of the Vitis flow the paper motivates against.
 
 from __future__ import annotations
 
+import functools
 import math
-import os
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
@@ -200,10 +200,10 @@ class DesignSpaceExplorer:
     ) -> List[Tuple[int, int]]:
         """Every surviving ``(P_eng, P_task)`` pair, in evaluation order.
 
-        This is the exact enumeration order of the serial
-        :meth:`explore` loop; the parallel driver in
-        :mod:`repro.exec.parallel` fans these out and restores this
-        order, which is what makes parallel exploration deterministic.
+        This is the order :meth:`explore` scores and returns points in
+        before ranking; the sweep loop (:func:`repro.dse.space.sweep`)
+        keeps it for every job count, which is what makes parallel
+        exploration deterministic.
         """
         return [
             (p_eng, p_task)
@@ -274,10 +274,10 @@ class DesignSpaceExplorer:
             power_cap_w: When given, drop points whose estimated power
                 exceeds the cap (the paper's HeteroSVD configurations
                 stay under 39 W).
-            jobs: Fan stage 2 out over this many worker processes
+            jobs: Fan both stages out over this many worker processes
                 (None: the ``HETEROSVD_JOBS`` environment variable,
                 then 1).  Any job count returns the identical ranked
-                list — see :mod:`repro.exec.parallel`.
+                list — see :func:`repro.dse.space.sweep`.
             cache: Optional :class:`~repro.exec.cache.EvalCache`;
                 previously evaluated points are served from it and new
                 evaluations stored back.
@@ -286,7 +286,7 @@ class DesignSpaceExplorer:
                 completed evaluations persist across a killed sweep and
                 are skipped on resume.
             retry: Optional :class:`~repro.resilience.RetryPolicy`
-                re-attempting the parallel fan-out on transient
+                re-attempting each chunk's fan-out on transient
                 failures.
             deadline: Optional wall-clock budget (a
                 :class:`~repro.guard.Deadline` or seconds) for the whole
@@ -304,52 +304,86 @@ class DesignSpaceExplorer:
                 f"unknown objective {objective!r}; expected one of "
                 f"{VALID_OBJECTIVES}"
             )
-        env_jobs = os.environ.get("HETEROSVD_JOBS")
-        with _tracer.span("dse.explore", category="dse",
-                          m=self.m, n=self.n, objective=objective):
-            if jobs is not None or cache is not None or env_jobs \
-                    or checkpoint is not None or retry is not None \
-                    or deadline is not None:
-                # Lazy import: repro.exec depends on this module.
-                from repro.exec.parallel import parallel_explore
+        # Lazy imports: repro.dse and repro.exec build on this module.
+        from repro.dse.space import sweep
+        from repro.exec.parallel import ParallelRunner
+        from repro.guard.deadline import as_deadline
+        from repro.resilience import as_checkpoint
 
-                return parallel_explore(
-                    self,
-                    objective=objective,
-                    batch=batch,
-                    frequency_hz=frequency_hz,
-                    power_cap_w=power_cap_w,
-                    jobs=jobs,
-                    cache=cache,
-                    checkpoint=checkpoint,
-                    retry=retry,
-                    deadline=deadline,
-                )
-            with _tracer.span("dse.stage1", category="dse", jobs=1,
-                              cached=False), \
+        deadline = as_deadline(deadline)
+        checkpoint = as_checkpoint(checkpoint, kind="dse-sweep")
+        with _tracer.span("dse.explore", category="dse",
+                          m=self.m, n=self.n, objective=objective), \
+                ParallelRunner(jobs=jobs) as runner:
+            with _tracer.span("dse.stage1", category="dse",
+                              jobs=runner.jobs, cached=cache is not None), \
                     _metrics.timer("dse.stage1_seconds"):
-                candidates = self.candidates(frequency_hz)
-            points: List[DesignPoint] = []
+                candidates = self._cached_candidates(
+                    frequency_hz, cache, runner, retry
+                )
             with _tracer.span("dse.stage2", category="dse",
-                              candidates=len(candidates), jobs=1), \
+                              candidates=len(candidates), jobs=runner.jobs), \
                     _metrics.timer("dse.stage2_seconds"):
                 _metrics.counter("dse.candidates").inc(len(candidates))
-                _metrics.counter("dse.evaluations").inc(len(candidates))
-                for p_eng, p_task in candidates:
-                    point = self.evaluate(p_eng, p_task, batch, frequency_hz)
-                    if power_cap_w is not None \
-                            and point.power.total > power_cap_w:
-                        continue
-                    points.append(point)
-                if not points:
-                    raise DesignSpaceError(
-                        f"no feasible design point for {self.m}x{self.n}"
-                        + (f" under {power_cap_w} W" if power_cap_w else "")
-                    )
-                points.sort(
-                    key=lambda p: p.objective_value(objective), reverse=True
+                configs = [
+                    self.make_config(p_eng, p_task, frequency_hz)
+                    for p_eng, p_task in candidates
+                ]
+                points = sweep(
+                    self, configs, batch=batch, runner=runner, cache=cache,
+                    ledger=checkpoint, retry=retry, deadline=deadline,
                 )
-                return points
+            kept = [
+                p for p in points
+                if power_cap_w is None or p.power.total <= power_cap_w
+            ]
+            if not kept:
+                raise DesignSpaceError(
+                    f"no feasible design point for {self.m}x{self.n}"
+                    + (f" under {power_cap_w} W" if power_cap_w else "")
+                )
+            kept.sort(key=lambda p: p.objective_value(objective),
+                      reverse=True)
+            return kept
+
+    def _cached_candidates(
+        self, frequency_hz: Optional[float], cache, runner, retry
+    ) -> List[Tuple[int, int]]:
+        """:meth:`candidates`, fanned out per ``P_eng`` when ``runner``
+        has several workers and memoized in ``cache`` when one is given:
+        the placement/budget checks of stage 1 cost about as much as the
+        stage-2 evaluations, so a cold parallel run must not serialize
+        on them and a warm re-run must not repeat them."""
+        from repro.exec.cache import cache_key
+        from repro.resilience.retry import call_with_retry
+
+        def compute() -> List[Tuple[int, int]]:
+            if runner.jobs == 1:
+                return self.candidates(frequency_hz)
+            limits = call_with_retry(
+                retry, runner.map,
+                functools.partial(self.max_p_task, frequency_hz=frequency_hz),
+                P_ENG_RANGE,
+            )
+            return [
+                (p_eng, p_task)
+                for p_eng, max_tasks in zip(P_ENG_RANGE, limits)
+                for p_task in range(1, max_tasks + 1)
+            ]
+
+        if cache is None:
+            return compute()
+        key = cache_key("dse-stage1", {
+            "m": self.m,
+            "n": self.n,
+            "precision": self.precision,
+            "fixed_iterations": self.fixed_iterations,
+            "frequency_hz": frequency_hz,
+        })
+        pairs = cache.get_or_compute(
+            key, lambda: [list(pair) for pair in compute()]
+        )
+        return [tuple(pair) for pair in pairs]
 
     def best(
         self,

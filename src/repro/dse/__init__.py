@@ -1,19 +1,16 @@
-"""Sharded, crash-safe design-space exploration.
+"""Design-space sweeps: the one sweep loop, the widened space, shards.
 
-``repro.dse`` scales :class:`repro.core.dse.DesignSpaceExplorer` from
-one process pool to a sharded sweep over a *widened* space:
-
-* :mod:`repro.dse.space` — :class:`DesignSpace` / :class:`SpaceUnit`:
-  the classic feasible ``(P_eng, P_task)`` enumeration crossed with
-  new first-class axes (ring ordering from
-  :mod:`repro.core.ordering_codesign`, frequency derating), with a
-  canonical unit order and content keys shared with the cache and
-  checkpoint layers;
+* :mod:`repro.dse.space` — :func:`~repro.dse.space.sweep`, the single
+  chunked loop that scores design points for
+  ``DesignSpaceExplorer.explore`` and every shard worker, its content
+  key :func:`~repro.dse.space.evaluation_key`, and
+  :class:`DesignSpace` / :class:`SpaceUnit`: the classic feasible
+  ``(P_eng, P_task)`` enumeration crossed with ring ordering and
+  frequency derating, in one canonical unit order;
 * :mod:`repro.dse.sharded` — :class:`ShardPlan` partitioning, the
-  per-shard worker loop (own :class:`~repro.resilience.SweepCheckpoint`
-  ledger + heartbeat lease), lease-based work stealing from dead or
-  stalled siblings, and the multi-process coordinator
-  :func:`run_sharded`.
+  shard worker (own :class:`~repro.resilience.SweepCheckpoint` ledger
+  + heartbeat lease, driven from the loop's per-chunk hook), lease-based
+  work stealing, and the multi-process coordinator :func:`run_sharded`.
 
 The merged global Pareto frontier lives in
 :func:`repro.analysis.pareto.merge_shards`; it is pinned byte-identical

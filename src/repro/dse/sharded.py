@@ -46,7 +46,7 @@ import zlib
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
-from repro.dse.space import DesignSpace, SpaceUnit
+from repro.dse.space import DesignSpace, SpaceUnit, sweep
 from repro.errors import ConfigurationError, FaultInjectionError
 from repro.guard.schemas import validate_json
 from repro.obs import metrics as _metrics
@@ -273,33 +273,25 @@ class ShardPlan:
         return plan
 
 
-def _chunks(
-    items: Sequence[Tuple[int, SpaceUnit, str]], size: int
-) -> List[List[Tuple[int, SpaceUnit, str]]]:
-    return [list(items[i:i + size]) for i in range(0, len(items), size)]
-
-
 def _sweep_units(
     space: DesignSpace,
     ledger: SweepCheckpoint,
     units: Sequence[Tuple[int, SpaceUnit, str]],
-    heartbeats: Sequence[Lease],
-    chunk: int,
-    shard: int,
-    stats: Dict[str, int],
-) -> None:
-    """Evaluate ``units`` into ``ledger``, chunk by chunk.
+    shard: Optional[int] = None,
+    heartbeats: Sequence[Lease] = (),
+) -> int:
+    """Evaluate ``units`` into ``ledger`` through the one sweep loop;
+    returns how many were evaluated (the rest were already recorded).
 
-    Every chunk boundary flushes the ledger and beats every lease in
-    ``heartbeats`` (the worker's own lease, plus any claimed victim
-    lease while stealing) — so a kill loses at most one chunk and a
-    live worker is never mistaken for dead.  The chaos sites fire at
-    chunk boundaries: a crash raises, a stall sleeps through the
-    heartbeat window.
+    The loop flushes the ledger after every chunk, so a kill loses at
+    most one chunk.  For a shard worker (``shard`` given) its per-chunk
+    hook fires the chaos sites — a crash raises, a stall sleeps through
+    the heartbeat window — then beats every lease in ``heartbeats``
+    (the worker's own, plus any claimed victim lease while stealing),
+    so a live worker is never mistaken for dead.
     """
-    for chunk_units in _chunks(units, chunk):
-        spec = _faults.fired(SHARD_CRASH_SITE)
-        if spec is not None:
+    def on_chunk() -> None:
+        if _faults.fired(SHARD_CRASH_SITE) is not None:
             raise FaultInjectionError(
                 f"injected fault: shard {shard} crash at site "
                 f"{SHARD_CRASH_SITE!r}"
@@ -307,30 +299,37 @@ def _sweep_units(
         spec = _faults.fired(SHARD_STALL_SITE)
         if spec is not None:
             time.sleep(spec.param if spec.param else DEFAULT_STALL_S)
-        for _, unit, key in chunk_units:
-            if ledger.contains(key):
-                stats["skipped"] += 1
-                continue
-            ledger.record(key, space.evaluate_unit(unit))
-            stats["evaluated"] += 1
-            _metrics.counter("dse.unit_evaluations").inc()
-        ledger.flush()
         for lease in heartbeats:
             lease.heartbeat()
 
+    configs = space.unit_configs()
+    before = ledger.recorded
+    sweep(
+        space.explorer(),
+        [configs[index] for index, _, _ in units],
+        keys=[key for _, _, key in units],
+        batch=space.batch,
+        ledger=ledger,
+        on_chunk=on_chunk if shard is not None else None,
+    )
+    return ledger.recorded - before
 
-def _union_done_keys(
-    workdir: Path, plan: ShardPlan, own: SweepCheckpoint, own_shard: int
+
+def _done_keys(
+    workdir: Path,
+    plan: ShardPlan,
+    own: Optional[SweepCheckpoint] = None,
+    own_shard: Optional[int] = None,
 ) -> set:
-    """Every unit key recorded anywhere.
+    """Every unit key recorded in any ledger of the sweep.
 
     Any ledger may hold any key — stealing records a victim's units in
     the *stealer's* ledger — so every ledger is checked against every
-    key: the own ledger in memory (unflushed records count), sibling
-    ledgers and the coordinator's recovery ledger from disk.
+    key: ``own`` in memory (unflushed records count), every other
+    shard ledger and the coordinator's recovery ledger from disk.
     """
     all_keys = set(plan.space.unit_keys())
-    done = {key for key in all_keys if own.contains(key)}
+    done = set(filter(own.contains, all_keys)) if own is not None else set()
     paths = [
         shard_ledger_path(workdir, shard)
         for shard in range(plan.shards) if shard != own_shard
@@ -352,7 +351,6 @@ def _steal_phase(
     ledger: SweepCheckpoint,
     own_lease: Lease,
     lease_ttl: float,
-    chunk: int,
     stats: Dict[str, int],
     timeout_s: float,
 ) -> None:
@@ -367,7 +365,7 @@ def _steal_phase(
     poll_s = max(0.05, lease_ttl / 5.0)
     deadline = time.monotonic() + timeout_s
     while True:
-        done = _union_done_keys(workdir, plan, ledger, shard)
+        done = _done_keys(workdir, plan, ledger, shard)
         pending = {
             victim: [(i, u, k) for i, u, k in plan.units_for(victim)
                      if k not in done]
@@ -390,12 +388,11 @@ def _steal_phase(
             stats["steals"] += 1
             with _tracer.span("dse.steal", category="dse",
                               shard=shard, victim=victim, units=len(todo)):
-                before = stats["evaluated"]
-                _sweep_units(
-                    plan.space, ledger, todo, (own_lease, claimed),
-                    chunk, shard, stats,
+                stolen = _sweep_units(
+                    plan.space, ledger, todo, shard, (own_lease, claimed)
                 )
-                stats["stolen"] += stats["evaluated"] - before
+                stats["evaluated"] += stolen
+                stats["stolen"] += stolen
             claimed.mark_done()
             progress = True
         if progress:
@@ -436,7 +433,8 @@ def run_shard(
         space / shards / seed: Sweep description; optional when the
             workdir already holds ``plan.json``.
         lease_ttl: Heartbeat validity window in seconds.
-        chunk: Units evaluated between ledger flushes / heartbeats.
+        chunk: Ledger flush interval; the sweep flushes and beats the
+            lease every ``max(chunk, CHUNKS_PER_WORKER)`` units.
         steal: Enter the work-stealing phase after finishing own units.
         steal_timeout_s: Cap on the stealing phase (default
             ``max(30, 6 * lease_ttl)``).
@@ -466,15 +464,16 @@ def run_shard(
         lease = Lease.acquire(
             shard_lease_path(workdir, shard), shard, ttl_s=lease_ttl
         )
-        _sweep_units(
-            plan.space, ledger, plan.units_for(shard), (lease,),
-            chunk, shard, stats,
+        own = plan.units_for(shard)
+        stats["evaluated"] = _sweep_units(
+            plan.space, ledger, own, shard, (lease,)
         )
+        stats["skipped"] = len(own) - stats["evaluated"]
         ledger.flush()
         lease.mark_done()
         if steal and plan.shards > 1:
             _steal_phase(
-                workdir, plan, shard, ledger, lease, lease_ttl, chunk,
+                workdir, plan, shard, ledger, lease, lease_ttl,
                 stats, steal_timeout_s,
             )
             ledger.flush()
@@ -573,29 +572,15 @@ def recover_missing_units(
     workdir = Path(workdir)
     if plan is None:
         plan = ShardPlan.load(workdir)
-    all_units = [
+    done = _done_keys(workdir, plan)
+    missing = [
         (index, unit, key)
         for shard in range(plan.shards)
-        for index, unit, key in plan.units_for(shard)
+        for index, unit, key in plan.units_for(shard) if key not in done
     ]
-    done: set = set()
-    for shard in range(plan.shards):
-        path = shard_ledger_path(workdir, shard)
-        if path.exists():
-            ledger = open_shard_ledger(path)
-            done.update(k for _, _, k in all_units if ledger.contains(k))
-    recovered_path = workdir / RECOVERED_FILENAME
-    if recovered_path.exists():
-        ledger = open_shard_ledger(recovered_path)
-        done.update(k for _, _, k in all_units if ledger.contains(k))
-    missing = [(i, u, k) for i, u, k in all_units if k not in done]
     if not missing:
         return 0
-    ledger = open_shard_ledger(recovered_path)
-    for _, unit, key in missing:
-        if ledger.contains(key):
-            continue
-        ledger.record(key, plan.space.evaluate_unit(unit))
-        _metrics.counter("dse.units_recovered_inline").inc()
-    ledger.flush()
+    ledger = open_shard_ledger(workdir / RECOVERED_FILENAME)
+    evaluated = _sweep_units(plan.space, ledger, missing)
+    _metrics.counter("dse.units_recovered_inline").inc(evaluated)
     return len(missing)

@@ -20,17 +20,22 @@ derates multiplies the space ~4–8x; the sharded sweep in
 kill-and-resume safe.
 
 Everything here is deterministic: :meth:`DesignSpace.units` has one
-canonical enumeration order, every unit has one content key (the same
-:func:`repro.exec.cache.key_for_config` key the cache and checkpoint
-layers use), and :meth:`DesignSpace.explore_serial` evaluates units in
+canonical enumeration order, every unit has one content key
+(:func:`evaluation_key`, shared by the cache and every checkpoint
+ledger), and :meth:`DesignSpace.explore_serial` evaluates units in
 canonical order — which is the order the shard merger restores, making
 the merged Pareto frontier byte-identical to the serial one.
+
+:func:`sweep` is the one loop that scores design points, for
+``DesignSpaceExplorer.explore`` and every shard worker alike; only
+:meth:`DesignSpace.explore_serial`, the parity reference, bypasses it.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, replace
-from typing import Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.core.config import HeteroSVDConfig
 from repro.core.dse import (
@@ -38,9 +43,14 @@ from repro.core.dse import (
     DesignPoint,
     DesignSpaceExplorer,
 )
+from repro.core.power import PowerModel
 from repro.errors import ConfigurationError, DesignSpaceError
+from repro.exec.cache import key_for_config
+from repro.exec.parallel import CHUNKS_PER_WORKER, ParallelRunner
 from repro.obs import metrics as _metrics
 from repro.obs import tracer as _tracer
+from repro.resilience.checkpoint import DEFAULT_FLUSH_INTERVAL
+from repro.resilience.retry import call_with_retry
 
 #: Valid ring-ordering axis values.
 ORDERINGS = ("codesign", "traditional")
@@ -50,6 +60,108 @@ DEFAULT_DERATES = (1.0, 0.9)
 
 #: Space descriptions bump this when their layout changes.
 SPACE_FORMAT = 1
+
+#: Coefficients of the default (Table VI) power model.
+_DEFAULT_POWER = vars(PowerModel())
+
+
+def evaluation_key(
+    explorer: DesignSpaceExplorer, config: HeteroSVDConfig, batch: int
+) -> str:
+    """Content key of one evaluation, shared by the cache and ledgers.
+
+    The power coefficients join the key only when they differ from the
+    default model's, so default-model keys stay byte-identical to those
+    existing caches and ledgers were written with.
+    """
+    params: Dict = {"batch": batch}
+    power = vars(explorer.power_model)
+    if power != _DEFAULT_POWER:
+        params["power"] = power
+    return key_for_config("dse-evaluate", config, **params)
+
+
+def sweep(
+    explorer: DesignSpaceExplorer,
+    configs: Sequence[HeteroSVDConfig],
+    keys: Optional[Sequence[str]] = None,
+    batch: int = 1,
+    runner: Optional[ParallelRunner] = None,
+    cache=None,
+    ledger=None,
+    retry=None,
+    deadline=None,
+    on_chunk: Optional[Callable[[], None]] = None,
+) -> List[DesignPoint]:
+    """Score ``configs`` chunk by chunk: the one DSE evaluation loop.
+
+    Each chunk of ``max(jobs * CHUNKS_PER_WORKER, flush interval)``
+    configurations (all of them in one chunk when there is no ledger,
+    retry or deadline) runs, in order: ``on_chunk`` (the shard worker's
+    fault sites and heartbeats); the deadline check, flushing the
+    ledger before it raises; cache hits, then ledger hits; one
+    ``runner.map`` over the misses under ``retry``; recording the new
+    points in the cache and the ledger, then a ledger flush.  A killed
+    or expired sweep therefore loses at most the chunk in flight.
+
+    ``keys`` (aligned with ``configs``) default to
+    :func:`evaluation_key`.  ``runner`` None evaluates inline, outside
+    the pool's ``exec.*`` fault sites: a shard worker has no pool, and
+    its faults are the ``dse.shard_*`` sites its hook fires.  Returns
+    the points aligned with ``configs``.
+    """
+    if runner is None:
+        jobs, fan_out = 1, lambda fn, items: list(map(fn, items))
+    else:
+        jobs, fan_out = runner.jobs, runner.map
+    if keys is None and (cache is not None or ledger is not None):
+        keys = [evaluation_key(explorer, c, batch) for c in configs]
+    flush_every = (
+        ledger.flush_interval if ledger is not None else DEFAULT_FLUSH_INTERVAL
+    )
+    step = max(jobs * CHUNKS_PER_WORKER, flush_every)
+    if ledger is None and retry is None and deadline is None:
+        # Chunks exist for the ledger, retry and deadline; without them
+        # one map over every miss keeps the pool from idling at chunk
+        # boundaries.
+        step = max(len(configs), 1)
+    evaluate = functools.partial(explorer.evaluate_config, batch=batch)
+    points: List[Optional[DesignPoint]] = [None] * len(configs)
+    for start in range(0, len(configs), step):
+        if on_chunk is not None:
+            on_chunk()
+        if deadline is not None and deadline.expired():
+            if ledger is not None:
+                ledger.flush()
+            deadline.check(
+                kind="dse-sweep", completed=start, total=len(configs),
+                checkpointed=ledger is not None,
+            )
+        misses = []
+        for index in range(start, min(start + step, len(configs))):
+            point = None
+            if cache is not None:
+                point = cache.get(keys[index])
+            if point is None and ledger is not None:
+                point = ledger.get(keys[index])
+            if point is None:
+                misses.append(index)
+            points[index] = point
+        if not misses:
+            continue
+        fresh = call_with_retry(
+            retry, fan_out, evaluate, [configs[i] for i in misses]
+        )
+        for index, point in zip(misses, fresh):
+            points[index] = point
+            if cache is not None:
+                cache.put(keys[index], point)
+            if ledger is not None:
+                ledger.record(keys[index], point)
+        if ledger is not None:
+            ledger.flush()
+        _metrics.counter("dse.evaluations").inc(len(misses))
+    return points
 
 
 @dataclass(frozen=True)
@@ -160,6 +272,7 @@ class DesignSpace:
                 )
         self._explorer: Optional[DesignSpaceExplorer] = None
         self._units: Optional[List[SpaceUnit]] = None
+        self._configs: Optional[List[HeteroSVDConfig]] = None
         self._keys: Optional[List[str]] = None
 
     # -- structure ------------------------------------------------------------
@@ -192,6 +305,15 @@ class DesignSpace:
             ]
         return list(self._units)
 
+    def unit_configs(self) -> List[HeteroSVDConfig]:
+        """Full configuration of every unit, aligned with :meth:`units`."""
+        if self._configs is None:
+            explorer = self.explorer()
+            self._configs = [
+                unit.build_config(explorer) for unit in self.units()
+            ]
+        return list(self._configs)
+
     def unit_keys(self) -> List[str]:
         """Content key of every unit, aligned with :meth:`units`.
 
@@ -201,25 +323,14 @@ class DesignSpace:
         the same configuration, so ledgers stay interoperable.
         """
         if self._keys is None:
-            from repro.exec.cache import key_for_config
-
             explorer = self.explorer()
             self._keys = [
-                key_for_config(
-                    "dse-evaluate", unit.build_config(explorer),
-                    batch=self.batch,
-                )
-                for unit in self.units()
+                evaluation_key(explorer, config, self.batch)
+                for config in self.unit_configs()
             ]
         return list(self._keys)
 
     # -- evaluation -----------------------------------------------------------
-    def evaluate_unit(self, unit: SpaceUnit) -> DesignPoint:
-        """Score one unit with the performance model."""
-        return self.explorer().evaluate_config(
-            unit.build_config(self.explorer()), self.batch
-        )
-
     def explore_serial(self) -> List[DesignPoint]:
         """Evaluate the whole widened space serially, canonical order.
 
@@ -232,11 +343,15 @@ class DesignSpace:
             DesignSpaceError: when nothing is feasible (or survives
                 the power cap).
         """
-        units = self.units()
+        units, explorer = self.units(), self.explorer()
         with _tracer.span("dse.space_serial", category="dse",
                           m=self.m, n=self.n, units=len(units)):
             _metrics.counter("dse.units").inc(len(units))
-            points = [self.evaluate_unit(unit) for unit in units]
+            points = [
+                explorer.evaluate_config(unit.build_config(explorer),
+                                         self.batch)
+                for unit in units
+            ]
         kept = self.apply_power_cap(points)
         if not kept:
             raise DesignSpaceError(

@@ -34,8 +34,8 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Callable, Dict, Optional, Union
 
-from repro.core.dse import DesignPoint
 from repro.errors import ConfigurationError
+from repro.io import decode_value, encode_value
 from repro.obs import metrics as _metrics
 from repro.obs import tracer as _tracer
 from repro.resilience import faults as _faults
@@ -117,46 +117,6 @@ def cache_key(kind: str, payload: Dict[str, Any]) -> str:
         separators=(",", ":"),
     )
     return hashlib.sha256(canonical.encode()).hexdigest()
-
-
-def encode_value(value: Any) -> Dict[str, Any]:
-    """JSON-compatible tagged encoding of a cacheable value.
-
-    Shared with :mod:`repro.resilience.checkpoint`, which persists the
-    same value kinds (design points, numbers, JSON data) and must stay
-    format-compatible with the cache.
-    """
-    from repro.io import design_point_to_dict
-
-    if isinstance(value, DesignPoint):
-        return {"type": "design_point", "data": design_point_to_dict(value)}
-    if isinstance(value, (int, float)):
-        return {"type": "number", "data": value}
-    if isinstance(value, (list, dict)):
-        return {"type": "json", "data": value}
-    raise ConfigurationError(
-        f"cannot cache values of type {type(value).__name__}; "
-        f"expected DesignPoint, a number, or JSON-compatible data"
-    )
-
-
-def decode_value(entry: Dict[str, Any]) -> Any:
-    """Inverse of :func:`encode_value`."""
-    from repro.io import design_point_from_dict
-
-    kind = entry.get("type")
-    if kind == "design_point":
-        return design_point_from_dict(entry["data"])
-    if kind == "number":
-        return entry["data"]
-    if kind == "json":
-        return entry["data"]
-    raise ConfigurationError(f"unknown cache entry type {kind!r}")
-
-
-# Former private names, kept for in-tree callers and tests.
-_encode = encode_value
-_decode = decode_value
 
 
 def entry_checksum(entry: Dict[str, Any]) -> str:

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import json
 from pathlib import Path
-from typing import Dict, List, Union
+from typing import Any, Dict, List, Union
 
 from repro.core.config import HeteroSVDConfig
 from repro.core.dse import DesignPoint
@@ -142,6 +142,35 @@ def design_point_from_dict(data: Dict) -> DesignPoint:
         raise ConfigurationError(
             f"design point dict missing field {exc}"
         ) from exc
+
+
+def encode_value(value: Any) -> Dict[str, Any]:
+    """JSON-compatible tagged encoding of a memoized value.
+
+    The one value format of :class:`~repro.exec.cache.EvalCache` disk
+    entries and :class:`~repro.resilience.SweepCheckpoint` ledgers:
+    design points, numbers, and JSON data.
+    """
+    if isinstance(value, DesignPoint):
+        return {"type": "design_point", "data": design_point_to_dict(value)}
+    if isinstance(value, (int, float)):
+        return {"type": "number", "data": value}
+    if isinstance(value, (list, dict)):
+        return {"type": "json", "data": value}
+    raise ConfigurationError(
+        f"cannot cache values of type {type(value).__name__}; "
+        f"expected DesignPoint, a number, or JSON-compatible data"
+    )
+
+
+def decode_value(entry: Dict[str, Any]) -> Any:
+    """Inverse of :func:`encode_value`."""
+    kind = entry.get("type")
+    if kind == "design_point":
+        return design_point_from_dict(entry["data"])
+    if kind in ("number", "json"):
+        return entry["data"]
+    raise ConfigurationError(f"unknown cache entry type {kind!r}")
 
 
 def save_design_points(

@@ -12,7 +12,7 @@ and testable under failure:
 * :mod:`repro.resilience.retry` — :class:`RetryPolicy`, exponential
   backoff with deterministic jitter and a per-exception-class
   allowlist, applied by :class:`~repro.exec.batch.BatchExecutor` and
-  the DSE fan-out;
+  each chunk of the DSE sweep loop (:func:`repro.dse.space.sweep`);
 * :mod:`repro.resilience.circuit` — :class:`CircuitBreaker`, the
   closed → open → half-open state machine (seeded probe scheduling)
   the serving layer uses to demote a failing engine strategy tier and

@@ -55,10 +55,10 @@ DEFAULT_FLUSH_INTERVAL = 8
 
 
 def _codec():
-    # Lazy: repro.exec.cache imports repro.resilience.faults, so this
-    # module must not import it at definition time.
+    # Lazy: repro.io imports the model layers, and the versal models
+    # import this package for their fault sites.
     from repro.core.perf_model import MODEL_VERSION
-    from repro.exec.cache import decode_value, encode_value
+    from repro.io import decode_value, encode_value
 
     return MODEL_VERSION, encode_value, decode_value
 

@@ -126,3 +126,22 @@ class TestStage2:
     def test_invalid_batch(self):
         with pytest.raises(ConfigurationError):
             DesignSpaceExplorer(128, 128).evaluate(8, 1, batch=0)
+
+
+class TestPowerModelCacheKey:
+    def test_shared_cache_does_not_serve_another_power_model(self):
+        """A cache warmed by a default-model sweep must not hand its
+        power figures to a sweep with different coefficients."""
+        from repro.core.power import PowerModel
+        from repro.exec.cache import EvalCache
+
+        cache = EvalCache()
+        DesignSpaceExplorer(64, 64).explore(cache=cache)
+        custom = DesignSpaceExplorer(
+            64, 64, power_model=PowerModel(static_w=100)
+        )
+        shared = custom.explore(cache=cache)
+        fresh = custom.explore()
+        assert shared[0].power.total == pytest.approx(fresh[0].power.total)
+        assert shared[0].power.total > 100
+        assert shared == fresh
