@@ -112,6 +112,8 @@ lint:
 # Exercise the parallel execution path end-to-end on a tiny grid.
 smoke:
 	$(PYTHON) examples/quickstart.py
+	$(PYTHON) examples/subspace_tracking.py
+	$(PYTHON) -m repro.validation
 	$(PYTHON) -m repro.cli dse --size 64 --jobs 2 --cache .repro_cache --top 3
 	$(PYTHON) -m repro.cli dse --size 64 --jobs 2 --cache .repro_cache --top 3
 	$(PYTHON) -m repro.cli svd --size 32 --p-eng 4 --batch 4 --jobs 2 --precision 1e-4

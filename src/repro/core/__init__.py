@@ -34,7 +34,7 @@ from repro.core.power import PowerModel, PowerEstimate
 from repro.core.dse import DesignPoint, DesignSpaceExplorer
 from repro.core.cosim import CoSimResult, CoSimulator
 from repro.core.scheduler import BatchScheduler, Schedule, TaskSpec
-from repro.core.incremental import IncrementalSVD, IncrementalResult
+from repro.core.incremental import IncrementalSVD
 from repro.core.power_trace import PowerTrace, trace_task_power
 
 __all__ = [
@@ -64,7 +64,6 @@ __all__ = [
     "Schedule",
     "TaskSpec",
     "IncrementalSVD",
-    "IncrementalResult",
     "PowerTrace",
     "trace_task_power",
 ]

@@ -8,53 +8,27 @@ new data's frame, and convergence restarts from an almost-orthogonal
 configuration — typically 2-4 sweeps instead of ``log2(n) + 3``.
 
 Concretely, with a previous factorization ``A0 = U0 S0 V0^T`` and new
-data ``A1``, the warm start runs the sweeps on ``B_init = A1 V0``: if
-``A1`` is close to ``A0``, ``B_init`` is close to column-orthogonal
-``U0 S0``.  The accumulated rotations compose onto ``V0``.
+data ``A1``, the warm start runs :func:`~repro.linalg.hestenes.hestenes_svd`
+on ``A1 V0``: if ``A1`` is close to ``A0``, ``A1 V0`` is close to
+column-orthogonal ``U0 S0``.  The driver's rotations ``V_b`` compose
+onto the tracked basis, ``V1 = V0 V_b``.
 
 This is an extension beyond the paper (its real-time motivation applied
-to temporally correlated streams); it reuses the block-Jacobi sweep
-machinery unchanged, so everything maps to the accelerator exactly as
-cold solves do — only the PL-side seeding differs.
+to temporally correlated streams); the sweeps are the Hestenes driver's
+own, so everything maps to the accelerator exactly as cold solves do —
+only the PL-side seeding differs.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import List, Optional, Type
 
 import numpy as np
 
-from repro.errors import ConvergenceError, NumericalError
-from repro.linalg.convergence import (
-    DEFAULT_PRECISION,
-    pair_convergence_ratio,
-    zero_column_threshold_sq,
-)
-from repro.linalg.hestenes import DEFAULT_MAX_SWEEPS, normalize_columns
+from repro.errors import NumericalError
+from repro.linalg.convergence import DEFAULT_PRECISION
+from repro.linalg.hestenes import DEFAULT_MAX_SWEEPS, HestenesResult, hestenes_svd
 from repro.linalg.orderings import Ordering, ShiftingRingOrdering
-from repro.linalg.rotations import apply_rotation, compute_rotation
-
-
-@dataclass
-class IncrementalResult:
-    """A warm-started factorization.
-
-    Attributes:
-        u / singular_values / v: The thin SVD of the new data.
-        sweeps: Sweeps the warm start needed.
-        converged: Whether the precision target was met.
-    """
-
-    u: np.ndarray
-    singular_values: np.ndarray
-    v: np.ndarray
-    sweeps: int
-    converged: bool
-
-    def reconstruct(self) -> np.ndarray:
-        """``U diag(S) V^T``."""
-        return (self.u * self.singular_values) @ self.v.T
 
 
 class IncrementalSVD:
@@ -83,90 +57,41 @@ class IncrementalSVD:
         """Whether a previous solution is available to seed from."""
         return self._v is not None
 
-    def update(self, a: np.ndarray) -> IncrementalResult:
+    def update(self, a: np.ndarray) -> HestenesResult:
         """Factor the new snapshot, warm-starting when possible.
+
+        Returns:
+            The driver's result, with ``v`` the composed basis
+            ``V0 V_b`` so that ``a = U diag(S) V^T``.
 
         Raises:
             NumericalError: for invalid shapes (must be tall, even
-                column count, consistent with the tracked state).
+                column count, consistent with the tracked state) or
+                non-finite input.
             ConvergenceError: if the sweep budget is exhausted.
         """
         a = np.asarray(a, dtype=float)
-        if a.ndim != 2 or a.shape[0] < a.shape[1]:
-            raise NumericalError(
-                f"expected a tall matrix, got shape {a.shape}"
-            )
-        n = a.shape[1]
-        if n < 2 or n % 2:
-            raise NumericalError(
-                f"column count must be even and >= 2, got {n}"
-            )
-        if not np.all(np.isfinite(a)):
-            raise NumericalError("input contains non-finite entries")
-        if self._v is not None and self._v.shape[0] != n:
-            raise NumericalError(
-                f"tracked width {self._v.shape[0]} does not match new "
-                f"width {n}; reset() before changing problem size"
-            )
-
-        if self._v is None:
-            b = a.copy()
-            v = np.eye(n)
-        else:
+        v0 = self._v
+        if v0 is not None:
+            if a.ndim != 2 or a.shape[1] != v0.shape[0]:
+                raise NumericalError(
+                    f"tracked width {v0.shape[0]} does not match new "
+                    f"shape {a.shape}; reset() before changing problem size"
+                )
             # Warm start: rotate the new data into the previous right
             # singular frame — near-orthogonal if the data moved little.
-            v = self._v.copy()
-            b = a @ v
-
-        ordering = self._ordering_cls(n)
-        zero_sq = zero_column_threshold_sq(float(np.linalg.norm(a)), a.dtype)
-        sweeps = 0
-        converged = False
-        # Initialized before the loop: with max_sweeps=0 no sweep runs
-        # and the ConvergenceError below still needs a residual.
-        worst = float("inf")
-        for _ in range(self.max_sweeps):
-            worst = 0.0
-            for one_round in ordering:
-                for i, j in one_round:
-                    alpha = float(b[:, i] @ b[:, i])
-                    beta = float(b[:, j] @ b[:, j])
-                    gamma = float(b[:, i] @ b[:, j])
-                    ratio = pair_convergence_ratio(alpha, beta, gamma, zero_sq)
-                    if ratio > worst:
-                        worst = ratio
-                    if ratio < self.precision:
-                        continue
-                    rotation = compute_rotation(alpha, beta, gamma)
-                    b[:, i], b[:, j] = apply_rotation(
-                        b[:, i], b[:, j], rotation
-                    )
-                    v[:, i], v[:, j] = apply_rotation(
-                        v[:, i], v[:, j], rotation
-                    )
-            sweeps += 1
-            if worst < self.precision:
-                converged = True
-                break
-        if not converged:
-            raise ConvergenceError(
-                f"incremental update did not converge in "
-                f"{self.max_sweeps} sweeps "
-                f"({sweeps} iterations, residual {worst:.3e})",
-                iterations=sweeps,
-                residual=worst,
-            )
-
-        u, sigma, v_sorted = normalize_columns(b, v)
-        self._v = v_sorted
-        self.history.append(sweeps)
-        return IncrementalResult(
-            u=u,
-            singular_values=sigma,
-            v=v_sorted,
-            sweeps=sweeps,
-            converged=converged,
+            a = a @ v0
+        result = hestenes_svd(
+            a,
+            precision=self.precision,
+            max_sweeps=self.max_sweeps,
+            ordering_cls=self._ordering_cls,
         )
+        if v0 is not None:
+            result.v = v0 @ result.v
+        self._v = result.v
+        self.history.append(result.sweeps)
+        return result
 
     def reset(self) -> None:
         """Forget the tracked state (next update is a cold solve)."""

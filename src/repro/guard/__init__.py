@@ -26,7 +26,6 @@ from repro.guard.deadline import Deadline, PartialResult, as_deadline
 from repro.guard.invariants import (
     InvariantReport,
     check_factor_invariants,
-    orthogonality_residual,
 )
 from repro.guard.schemas import validate_json
 from repro.guard.validate import (
@@ -52,7 +51,6 @@ __all__ = [
     "Watchdog",
     "as_deadline",
     "check_factor_invariants",
-    "orthogonality_residual",
     "postscale_singular_values",
     "prescale_matrix",
     "validate_json",

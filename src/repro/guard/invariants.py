@@ -54,25 +54,6 @@ class InvariantReport:
     orthogonality_residual: Optional[float]
 
 
-def orthogonality_residual(b: np.ndarray) -> float:
-    """Vectorized global off-diagonal ratio (Eq. 6) of ``B``.
-
-    Matches :func:`repro.linalg.convergence.off_diagonal_ratio` but in
-    whole-matrix NumPy operations, so checking a 512-column factor
-    costs one ``B^T B`` instead of ~131k Python-loop dot products.
-    Columns with zero norm are skipped, as in the scalar routine.
-    """
-    gram = b.T @ b
-    norms = np.sqrt(np.diag(gram).clip(min=0.0))
-    live = norms > 0
-    if not np.any(live):
-        return 0.0
-    g = np.abs(gram[np.ix_(live, live)])
-    scale = np.outer(norms[live], norms[live])
-    np.fill_diagonal(g, 0.0)
-    return float((g / scale).max())
-
-
 def check_factor_invariants(
     a: np.ndarray,
     b: np.ndarray,
@@ -94,6 +75,9 @@ def check_factor_invariants(
     Returns:
         An :class:`InvariantReport`.
     """
+    # Imported here: repro.linalg's drivers import this module.
+    from repro.linalg.convergence import off_diagonal_ratio
+
     _metrics.counter("guard.invariant_checks").inc()
     n = a.shape[1]
     eps = float(np.finfo(np.asarray(a).dtype).eps) if \
@@ -106,7 +90,7 @@ def check_factor_invariants(
     orth: Optional[float] = None
     orth_ok = True
     if converged:
-        orth = orthogonality_residual(b)
+        orth = off_diagonal_ratio(b)
         orth_ok = orth <= ORTHOGONALITY_SLACK * precision
 
     ok = recon_ok and orth_ok

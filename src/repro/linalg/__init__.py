@@ -8,9 +8,12 @@ accelerates (paper Section II-A):
 * :mod:`repro.linalg.orderings` — parallel orderings (ring /
   round-robin / shifting-ring) that schedule which column pairs are
   rotated together in each round of a sweep.
-* :mod:`repro.linalg.convergence` — the convergence criterion (Eq. 6).
+* :mod:`repro.linalg.convergence` — the convergence criterion (Eq. 6)
+  and its one whole-matrix metric, :func:`off_diagonal_ratio`.
 * :mod:`repro.linalg.hestenes` — the full one-sided Hestenes-Jacobi SVD
-  driver, including the normalization step (Eq. 7).
+  driver, including the normalization step (Eq. 7), its scalar
+  reference loop and its vectorized round kernel (both shared with the
+  block driver).
 * :mod:`repro.linalg.native` — compiled (Numba) whole-round kernels
   behind ``strategy="native"``, with a graceful no-Numba fallback.
 * :mod:`repro.linalg.block` — column-block partitioning and block-pair
@@ -22,6 +25,8 @@ accelerates (paper Section II-A):
   (``method="tsqr"``).
 * :mod:`repro.linalg.dnc` — bidiagonal divide-and-conquer SVD
   (``method="dnc"``).
+* :mod:`repro.linalg.kogbetliantz` — two-sided Jacobi SVD, kept only
+  as an independent cross-check of the one-sided drivers.
 * :mod:`repro.linalg.reference` — validation against ``numpy.linalg``.
 """
 
@@ -52,11 +57,7 @@ from repro.linalg.hestenes import (
     sweep_pairs,
 )
 from repro.linalg.native import available as native_available
-from repro.linalg.block import (
-    BlockPartition,
-    block_pairs,
-    orthogonalize_block_pair,
-)
+from repro.linalg.block import BlockPartition, block_pairs
 from repro.linalg.svd import SVDResult, svd
 from repro.linalg.kogbetliantz import KogbetliantzResult, kogbetliantz_svd
 from repro.linalg.truncated import TruncatedSVDResult, truncated_svd
@@ -71,7 +72,6 @@ __all__ = [
     "apply_rotation",
     "sweep_pairs",
     "pair_convergence_ratios",
-    "orthogonalize_block_pair",
     "STRATEGIES",
     "BATCHED_STRATEGIES",
     "resolve_strategy",

@@ -26,87 +26,6 @@ from repro.errors import ConfigurationError
 BlockPair = Tuple[int, int]
 
 
-def orthogonalize_block_pair(
-    b: np.ndarray,
-    v: np.ndarray,
-    cols: Sequence[int],
-    ordering,
-    precision: float,
-    zero_sq: float,
-    strategy: str = "vectorized",
-    round_indices=None,
-) -> "tuple[float, int]":
-    """Run a full parallel-ordering sweep over one block pair's columns.
-
-    This is the software mirror of what the orth-AIE group does to a
-    streamed block pair (Algorithm 1, lines 6-10): the ordering's
-    ``2k - 1`` rounds cover every local column pair once, and each round
-    is either walked pair by pair (``strategy="scalar"``) or rotated as
-    one batch (``strategy="vectorized"`` via
-    :func:`repro.linalg.hestenes.sweep_pairs`, or ``strategy="native"``
-    via the compiled kernel of :mod:`repro.linalg.native`).  Batching
-    is safe for
-    the same reason a round maps onto one hardware layer: a round's
-    pairs are disjoint, so its rotations touch disjoint columns.
-
-    Args:
-        b: Full working matrix, updated in place.
-        v: Full accumulated rotation matrix, updated in place.
-        cols: Global column indices of the block pair (first block then
-            second, as from :meth:`BlockPartition.pair_columns`).
-        ordering: An :class:`~repro.linalg.orderings.Ordering` over the
-            ``2k`` local columns.
-        precision: Eq. 6 threshold below which a pair is skipped.
-        zero_sq: Zero-column floor for the convergence ratio.
-        strategy: ``"scalar"``, ``"vectorized"`` or ``"native"``
-            (already resolved; see
-            :func:`repro.linalg.hestenes.resolve_strategy`).
-        round_indices: Optional precomputed global ``(ii, jj)`` index
-            arrays per round (from :func:`block_pair_round_indices`);
-            the vectorized path builds them from the ordering
-            otherwise.  The schedule is sweep-invariant, so drivers
-            compute them once per block pair.
-
-    Returns:
-        ``(worst_ratio, rotations)`` for the block-pair sweep.
-    """
-    from repro.linalg.convergence import pair_convergence_ratio
-    from repro.linalg.hestenes import BATCHED_STRATEGIES, _round_sweeper
-    from repro.linalg.rotations import apply_rotation, compute_rotation
-
-    worst = 0.0
-    rotations = 0
-    if strategy in BATCHED_STRATEGIES:
-        sweep_rounds_fn = _round_sweeper(strategy)
-        if round_indices is None:
-            round_indices = block_pair_round_indices(cols, ordering)
-        for ii, jj in round_indices:
-            round_worst, round_rotations = sweep_rounds_fn(
-                b, v, ii, jj, precision, zero_sq
-            )
-            if round_worst > worst:
-                worst = round_worst
-            rotations += round_rotations
-        return worst, rotations
-
-    for one_round in ordering:
-        for local_i, local_j in one_round:
-            gi, gj = cols[local_i], cols[local_j]
-            alpha = float(b[:, gi] @ b[:, gi])
-            beta = float(b[:, gj] @ b[:, gj])
-            gamma = float(b[:, gi] @ b[:, gj])
-            ratio = pair_convergence_ratio(alpha, beta, gamma, zero_sq)
-            if ratio > worst:
-                worst = ratio
-            if ratio < precision:
-                continue
-            rotation = compute_rotation(alpha, beta, gamma)
-            b[:, gi], b[:, gj] = apply_rotation(b[:, gi], b[:, gj], rotation)
-            v[:, gi], v[:, gj] = apply_rotation(v[:, gi], v[:, gj], rotation)
-            rotations += 1
-    return worst, rotations
-
-
 @dataclass(frozen=True)
 class BlockPartition:
     """Partition of an ``m x n`` matrix into ``p`` column blocks of width ``k``.
@@ -182,7 +101,7 @@ def block_pair_round_indices(cols: Sequence[int], ordering):
     Translates an ordering over the ``2k`` local columns into global
     column indices once, so repeated sweeps over the same block pair
     (the common case: the pair schedule is identical every outer sweep)
-    pay no per-round translation cost in the vectorized path.
+    pay no per-round translation cost in the round kernels.
     """
     return [
         (

@@ -103,26 +103,25 @@ def off_diagonal_ratio(matrix: np.ndarray) -> float:
     reports to the system module after each sweep.  A value below the
     chosen precision means the columns are mutually orthogonal to that
     tolerance and the orthogonalization stage may stop.
+
+    Columns at or below :func:`zero_column_threshold_sq` of the
+    matrix's Frobenius norm are skipped, the same floor the drivers
+    stop on.  One ``B^T B`` and whole-matrix NumPy operations compute
+    every pair at once; entry ``(i, j)`` is exactly
+    :func:`pair_convergence_ratio` of the Gram entries.
     """
     gram = matrix.T @ matrix
-    norms_sq = np.diag(gram).copy()
+    norms_sq = np.diag(gram)
     zero_sq = zero_column_threshold_sq(
         math.sqrt(max(float(np.sum(norms_sq)), 0.0)), matrix.dtype
     )
-    n = matrix.shape[1]
-    worst = 0.0
-    for i in range(n):
-        if norms_sq[i] <= zero_sq:
-            continue
-        for j in range(i + 1, n):
-            if norms_sq[j] <= zero_sq:
-                continue
-            ratio = abs(gram[i, j]) / (
-                math.sqrt(norms_sq[i]) * math.sqrt(norms_sq[j])
-            )
-            if ratio > worst:
-                worst = ratio
-    return float(worst)
+    live = norms_sq > zero_sq
+    if np.count_nonzero(live) < 2:
+        return 0.0
+    norms = np.sqrt(norms_sq[live])
+    ratios = np.abs(gram[np.ix_(live, live)]) / np.outer(norms, norms)
+    # Upper triangle only: pair (i, j) with i < j reads gram[i, j].
+    return float(np.triu(ratios, 1).max())
 
 
 def is_converged(matrix: np.ndarray, precision: float = DEFAULT_PRECISION) -> bool:

@@ -61,8 +61,9 @@ DEFAULT_MAX_SWEEPS = 60
 STRATEGIES = ("auto", "scalar", "vectorized", "native")
 
 #: Strategies that batch whole ordering rounds on Fortran-ordered
-#: panels (the drivers share one code path for them and only swap the
-#: round kernel).
+#: panels.  Every tier runs through the same driver loop with its own
+#: round kernel (see :func:`_round_sweeper`); the scalar tier keeps
+#: the C-ordered state of the golden reference.
 BATCHED_STRATEGIES = ("vectorized", "native")
 
 
@@ -92,11 +93,18 @@ def resolve_strategy(strategy: str) -> str:
 
 
 def _round_sweeper(strategy: str):
-    """The whole-round kernel for a resolved batched strategy."""
+    """The whole-round kernel for a resolved strategy.
+
+    Every kernel takes ``(b, v, ii, jj, precision, zero_sq)`` with the
+    round's global column indices and returns ``(worst_ratio,
+    rotations)``, so the drivers run one loop whatever the tier.
+    """
     if strategy == "native":
         from repro.linalg import native
 
         return native.sweep_pairs_indexed
+    if strategy == "scalar":
+        return _sweep_pairs_scalar
     return _sweep_pairs_indexed
 
 
@@ -213,6 +221,37 @@ def _sweep_pairs_indexed(
         v[:, sel_i] = c * vi - s * vj
         v[:, sel_j] = s * vi + c * vj
     return worst, count
+
+
+def _sweep_pairs_scalar(
+    b: np.ndarray,
+    v: np.ndarray,
+    ii: np.ndarray,
+    jj: np.ndarray,
+    precision: float,
+    zero_sq: float,
+) -> "tuple[float, int]":
+    """The ``"scalar"`` round kernel: the pairs one by one, in order.
+
+    The golden reference both drivers' scalar tier runs: three dot
+    products, one angle and two column updates per pair.
+    """
+    worst = 0.0
+    rotations = 0
+    for i, j in zip(ii.tolist(), jj.tolist()):
+        alpha = float(b[:, i] @ b[:, i])
+        beta = float(b[:, j] @ b[:, j])
+        gamma = float(b[:, i] @ b[:, j])
+        ratio = pair_convergence_ratio(alpha, beta, gamma, zero_sq)
+        if ratio > worst:
+            worst = ratio
+        if ratio < precision:
+            continue
+        rotation = compute_rotation(alpha, beta, gamma)
+        b[:, i], b[:, j] = apply_rotation(b[:, i], b[:, j], rotation)
+        v[:, i], v[:, j] = apply_rotation(v[:, i], v[:, j], rotation)
+        rotations += 1
+    return worst, rotations
 
 
 @dataclass
@@ -388,8 +427,7 @@ def hestenes_svd(
 
     ordering = (ordering_cls or RingOrdering)(n)
     zero_sq = zero_column_threshold_sq(float(np.linalg.norm(a)), a.dtype)
-    batched = strategy in BATCHED_STRATEGIES
-    if batched:
+    if strategy in BATCHED_STRATEGIES:
         # Fortran order makes every column gather/scatter in the round
         # kernels a contiguous copy (~2x per round), and gives the
         # native kernel stride-1 column walks.
@@ -403,15 +441,14 @@ def hestenes_svd(
     converged = False
     budget = fixed_sweeps if fixed_sweeps is not None else max_sweeps
 
-    if batched:
-        sweep_rounds_fn = _round_sweeper(strategy)
-        round_indices = [
-            (
-                np.fromiter((i for i, _ in one_round), dtype=np.intp),
-                np.fromiter((j for _, j in one_round), dtype=np.intp),
-            )
-            for one_round in ordering
-        ]
+    sweep_rounds_fn = _round_sweeper(strategy)
+    round_indices = [
+        (
+            np.fromiter((i for i, _ in one_round), dtype=np.intp),
+            np.fromiter((j for _, j in one_round), dtype=np.intp),
+        )
+        for one_round in ordering
+    ]
     sweeps_done = 0
 
     def check_deadline() -> None:
@@ -430,31 +467,14 @@ def hestenes_svd(
     def run_sweep() -> "tuple[float, int]":
         sweep_worst = 0.0
         sweep_rotations = 0
-        if batched:
-            for ii, jj in round_indices:
-                check_deadline()
-                round_worst, round_rotations = sweep_rounds_fn(
-                    b, v, ii, jj, precision, zero_sq
-                )
-                if round_worst > sweep_worst:
-                    sweep_worst = round_worst
-                sweep_rotations += round_rotations
-        else:
-            for one_round in ordering:
-                check_deadline()
-                for i, j in one_round:
-                    alpha = float(b[:, i] @ b[:, i])
-                    beta = float(b[:, j] @ b[:, j])
-                    gamma = float(b[:, i] @ b[:, j])
-                    ratio = pair_convergence_ratio(alpha, beta, gamma, zero_sq)
-                    if ratio > sweep_worst:
-                        sweep_worst = ratio
-                    if ratio < precision:
-                        continue
-                    rotation = compute_rotation(alpha, beta, gamma)
-                    b[:, i], b[:, j] = apply_rotation(b[:, i], b[:, j], rotation)
-                    v[:, i], v[:, j] = apply_rotation(v[:, i], v[:, j], rotation)
-                    sweep_rotations += 1
+        for ii, jj in round_indices:
+            check_deadline()
+            round_worst, round_rotations = sweep_rounds_fn(
+                b, v, ii, jj, precision, zero_sq
+            )
+            if round_worst > sweep_worst:
+                sweep_worst = round_worst
+            sweep_rotations += round_rotations
         return sweep_worst, sweep_rotations
 
     for _ in range(budget):

@@ -27,9 +27,9 @@ from repro.guard.validate import (
 )
 from repro.linalg.block import (
     BlockPartition,
+    block_pair_round_indices,
     block_pair_rounds,
     block_pairs,
-    orthogonalize_block_pair,
 )
 from repro.linalg.convergence import (
     DEFAULT_PRECISION,
@@ -96,50 +96,42 @@ def _block_jacobi_svd(
     m, n = a.shape
     partition = BlockPartition(n_cols=n, block_width=block_width)
     ordering = ordering_cls(2 * block_width)
-    pairs = block_pairs(partition.n_blocks)
 
     zero_sq = zero_column_threshold_sq(float(np.linalg.norm(a)), a.dtype)
-    batched = strategy in BATCHED_STRATEGIES
-    if batched:
+    sweep_rounds_fn = _round_sweeper(strategy)
+    # Global (ii, jj) index arrays per round, built once: the schedule
+    # repeats identically every outer sweep.
+    if strategy in BATCHED_STRATEGIES:
         # Fortran order keeps the batched column gathers contiguous.
         # Block pairs of one tournament round touch disjoint column
         # sets, so their (identical) sweeps commute: interleaving them
         # round by round performs the exact same rotations as visiting
         # each block pair in sequence, while multiplying the batch
-        # width by the number of concurrent block pairs.  Stack the
-        # per-round global index arrays across each round's pairs once;
-        # the schedule repeats identically every outer sweep.
+        # width by the number of concurrent block pairs.
         b = np.asfortranarray(a)
         v = np.asfortranarray(np.eye(n))
-        sweep_rounds_fn = _round_sweeper(strategy)
-        ordering_rounds = ordering.rounds()
-        stacked_rounds = []
+        rounds = []
         for block_round in block_pair_rounds(partition.n_blocks):
-            cols_per_pair = [
-                partition.pair_columns(pair) for pair in block_round
+            per_pair = [
+                block_pair_round_indices(partition.pair_columns(pair), ordering)
+                for pair in block_round
             ]
-            for one_round in ordering_rounds:
-                ii = np.fromiter(
-                    (
-                        cols[i]
-                        for cols in cols_per_pair
-                        for i, _ in one_round
-                    ),
-                    dtype=np.intp,
-                )
-                jj = np.fromiter(
-                    (
-                        cols[j]
-                        for cols in cols_per_pair
-                        for _, j in one_round
-                    ),
-                    dtype=np.intp,
-                )
-                stacked_rounds.append((ii, jj))
+            for same_round in zip(*per_pair):
+                rounds.append((
+                    np.concatenate([ii for ii, _ in same_round]),
+                    np.concatenate([jj for _, jj in same_round]),
+                ))
     else:
+        # The golden reference visits the block pairs one after another.
         b = a.copy()
         v = np.eye(n)
-        stacked_rounds = []
+        rounds = [
+            one_round
+            for pair in block_pairs(partition.n_blocks)
+            for one_round in block_pair_round_indices(
+                partition.pair_columns(pair), ordering
+            )
+        ]
     rotations = 0
     sweep_residuals: List[float] = []
     converged = False
@@ -161,26 +153,14 @@ def _block_jacobi_svd(
     def run_sweep() -> "tuple[float, int]":
         sweep_worst = 0.0
         sweep_rotations = 0
-        if batched:
-            for ii, jj in stacked_rounds:
-                check_deadline()
-                round_worst, round_rotations = sweep_rounds_fn(
-                    b, v, ii, jj, precision, zero_sq
-                )
-                if round_worst > sweep_worst:
-                    sweep_worst = round_worst
-                sweep_rotations += round_rotations
-        else:
-            for pair in pairs:
-                check_deadline()
-                cols = partition.pair_columns(pair)
-                pair_worst, pair_rotations = orthogonalize_block_pair(
-                    b, v, cols, ordering, precision, zero_sq,
-                    strategy=strategy,
-                )
-                if pair_worst > sweep_worst:
-                    sweep_worst = pair_worst
-                sweep_rotations += pair_rotations
+        for ii, jj in rounds:
+            check_deadline()
+            round_worst, round_rotations = sweep_rounds_fn(
+                b, v, ii, jj, precision, zero_sq
+            )
+            if round_worst > sweep_worst:
+                sweep_worst = round_worst
+            sweep_rotations += round_rotations
         return sweep_worst, sweep_rotations
 
     for _ in range(budget):

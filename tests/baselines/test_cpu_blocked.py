@@ -1,11 +1,20 @@
-"""Tests for the runnable CPU blocked-Jacobi baseline."""
+"""Tests for the CPU blocked-Jacobi baseline.
+
+The CPU baseline is the vectorized tier of the Hestenes driver,
+``hestenes_svd(a, strategy="vectorized")``: each round's column pairs
+are rotated in one batched numpy call.  These cases pin that tier on
+its own, against LAPACK and against the scalar reference path.
+"""
 
 import numpy as np
 import pytest
 
-from repro.baselines.cpu_blocked import cpu_blocked_jacobi_svd
 from repro.errors import NumericalError
 from repro.linalg.hestenes import hestenes_svd
+
+
+def cpu_blocked_jacobi_svd(a, **kwargs):
+    return hestenes_svd(a, strategy="vectorized", **kwargs)
 
 
 class TestCPUBlockedJacobi:
@@ -17,10 +26,10 @@ class TestCPUBlockedJacobi:
         assert result.converged
 
     def test_cross_validates_scalar_implementation(self, rng):
-        # Independent vectorized math must agree with the scalar driver.
+        # The batched rounds must agree with the scalar pair loop.
         a = rng.standard_normal((24, 12))
         vectorized = cpu_blocked_jacobi_svd(a, precision=1e-10)
-        scalar = hestenes_svd(a, precision=1e-10)
+        scalar = hestenes_svd(a, precision=1e-10, strategy="scalar")
         assert np.allclose(
             vectorized.singular_values, scalar.singular_values, rtol=1e-9
         )
@@ -48,11 +57,6 @@ class TestCPUBlockedJacobi:
         a = rng.standard_normal((16, 8))
         result = cpu_blocked_jacobi_svd(a, fixed_sweeps=2)
         assert result.sweeps == 2
-
-    def test_wall_time_recorded(self, rng):
-        a = rng.standard_normal((16, 8))
-        result = cpu_blocked_jacobi_svd(a)
-        assert result.wall_seconds > 0
 
     def test_rejects_wide(self, rng):
         with pytest.raises(NumericalError):

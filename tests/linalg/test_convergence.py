@@ -1,5 +1,7 @@
 """Unit tests for the convergence criterion (Eq. 6)."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -7,7 +9,31 @@ from repro.linalg.convergence import (
     is_converged,
     off_diagonal_ratio,
     pair_convergence_ratio,
+    zero_column_threshold_sq,
 )
+
+
+def reference_off_diagonal_ratio(matrix):
+    """Pair-by-pair Eq. 6 maximum: the loop ``off_diagonal_ratio`` replaced."""
+    gram = matrix.T @ matrix
+    norms_sq = np.diag(gram).copy()
+    zero_sq = zero_column_threshold_sq(
+        math.sqrt(max(float(np.sum(norms_sq)), 0.0)), matrix.dtype
+    )
+    n = matrix.shape[1]
+    worst = 0.0
+    for i in range(n):
+        if norms_sq[i] <= zero_sq:
+            continue
+        for j in range(i + 1, n):
+            if norms_sq[j] <= zero_sq:
+                continue
+            ratio = abs(gram[i, j]) / (
+                math.sqrt(norms_sq[i]) * math.sqrt(norms_sq[j])
+            )
+            if ratio > worst:
+                worst = ratio
+    return float(worst)
 
 
 class TestPairConvergenceRatio:
@@ -65,6 +91,25 @@ class TestOffDiagonalRatio:
                     ),
                 )
         assert off_diagonal_ratio(a) == pytest.approx(worst)
+
+    @pytest.mark.parametrize("n", [48, 256, 512])
+    def test_bit_identical_to_pair_loop(self, rng, n):
+        # The drivers' sweep counts and sweep_residuals depend on this
+        # value, so the whole-matrix form must equal the loop exactly.
+        a = rng.standard_normal((n, n))
+        a[:, 5] = 0.0
+        assert off_diagonal_ratio(a) == reference_off_diagonal_ratio(a)
+        q, _ = np.linalg.qr(a)
+        assert off_diagonal_ratio(q) == reference_off_diagonal_ratio(q)
+
+    def test_tiny_column_below_zero_floor_skipped(self, rng):
+        # A column far below 100 eps ||A||_F is numerical noise: its
+        # correlation with the others must not count.  Skipping only
+        # exactly-zero columns scored this matrix 0.71.
+        q, _ = np.linalg.qr(rng.standard_normal((16, 16)))
+        q[:, 3] *= 1e-20
+        q[:, 3] += 1e-20 * q[:, 0]
+        assert off_diagonal_ratio(q) < 1e-15
 
 
 class TestIsConverged:
